@@ -121,7 +121,8 @@ class SlpRunner {
     });
 
     Result<SubscriptionAssignResult> repaired = AssignByMaxFlow(
-        problem_, targets, &filters, rng_, options_.slp1.subscription_assign);
+        problem_, targets, &filters, rng_, options_.slp1.subscription_assign,
+        ShardCount(targets.num_rows()));
     if (!repaired.ok()) return repaired.status();
     solution->load_feasible = repaired.value().load_feasible;
     for (size_t r = 0; r < targets.subscribers.size(); ++r) {
@@ -187,7 +188,8 @@ class SlpRunner {
       std::vector<geo::Filter> preliminary = fa.value().filters;
       Result<SubscriptionAssignResult> sa = AssignByMaxFlow(
           problem_, targets, &preliminary, rng,
-          options_.slp1.subscription_assign);
+          options_.slp1.subscription_assign,
+          ShardCount(static_cast<int>(subs.size())));
       if (!sa.ok()) return sa.status();
       {
         MutexLock lock(mu_);

@@ -7,6 +7,7 @@
 #ifndef SLP_CORE_SUBSCRIPTION_ASSIGN_H_
 #define SLP_CORE_SUBSCRIPTION_ASSIGN_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "src/common/random.h"
@@ -42,6 +43,9 @@ struct SubscriptionAssignResult {
   // Per local row (targets.subscribers order): assigned target id.
   std::vector<int> target_of;
   double achieved_beta = 0;  // β value at which the flow saturated
+  // Value of the final max-flow in member-subscriber units; equals the
+  // total row supply when the flow routed every row.
+  int64_t flow_value = 0;
   bool load_feasible = true;
 };
 
@@ -51,10 +55,16 @@ struct SubscriptionAssignResult {
 // contains r's subscription. Returns kInfeasible only if some subscriber
 // is covered by no target at all, or — when best_effort_overflow is off —
 // load balance cannot be met within β_max.
+//
+// The flow runs over cover-set classes (rows with the same covering
+// targets and units) and splits each class's flow back to its members
+// deterministically; see DESIGN.md §12. With num_shards > 1 the covering
+// edges are computed in that many contiguous row shards on the shared
+// pool, bit-identical to serial (as in BuildLeafTargets).
 Result<SubscriptionAssignResult> AssignByMaxFlow(
     const SaProblem& problem, const Targets& targets,
     std::vector<geo::Filter>* filters, Rng& rng,
-    const SubscriptionAssignOptions& options = {});
+    const SubscriptionAssignOptions& options = {}, int num_shards = 1);
 
 }  // namespace slp::core
 

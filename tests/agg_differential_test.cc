@@ -28,43 +28,8 @@
 namespace slp::agg {
 namespace {
 
-enum class Family { kGrid, kGg, kRss };
-
-core::SaProblem CoverableProblem(Family family, int subs, int brokers,
-                                 uint64_t seed,
-                                 core::SaConfig config = {}) {
-  wl::Workload w;
-  switch (family) {
-    case Family::kGrid: {
-      wl::GridParams p;
-      p.num_subscribers = subs;
-      p.num_brokers = brokers;
-      p.seed = seed;
-      w = wl::GenerateGrid(p);
-      break;
-    }
-    case Family::kGg:
-      w = wl::GenerateGoogleGroupsVariant(wl::Level::kHigh, wl::Level::kLow,
-                                          subs, brokers, seed);
-      break;
-    case Family::kRss: {
-      wl::RssParams p;
-      p.num_subscribers = subs;
-      p.num_brokers = brokers;
-      p.seed = seed;
-      w = wl::GenerateRss(p);
-      break;
-    }
-  }
-  wl::CoverableOptions cover;
-  cover.fraction = 0.6;
-  cover.dup_fraction = 0.5;
-  Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
-  wl::MakeCoverable(&w, cover, rng);
-  net::BrokerTree tree =
-      net::BuildOneLevelTree(w.publisher, w.broker_locations);
-  return core::SaProblem(std::move(tree), std::move(w.subscribers), config);
-}
+using test::CoverableProblem;
+using test::Family;
 
 // The gate proper, per family: solve directly and through aggregation,
 // then compare everything the expansion guarantees.

@@ -562,6 +562,34 @@ TEST(SlpTest, GammaBypassSmallNodes) {
   EXPECT_TRUE(ValidateSolution(p, result.value(), vopts).ok());
 }
 
+// AssignByMaxFlow at 2, 7 and pool cover shards must return what the
+// serial (one-shard) call returns: assignment, achieved β, flow value and
+// the enrichment-extended filters.
+void ExpectFlowShardsMatchSerial(const SaProblem& p, const Targets& targets,
+                                 const std::vector<Filter>& filters) {
+  std::vector<Filter> serial_filters = filters;
+  Rng serial_rng(44);
+  auto serial = AssignByMaxFlow(p, targets, &serial_filters, serial_rng, {},
+                                /*num_shards=*/1);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  const int pool = ThreadPool::Global().num_workers() + 1;
+  for (int shards : {2, 7, pool}) {
+    std::vector<Filter> got_filters = filters;
+    Rng rng(44);
+    auto got = AssignByMaxFlow(p, targets, &got_filters, rng, {}, shards);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(serial.value().target_of, got.value().target_of)
+        << "shards=" << shards;
+    EXPECT_EQ(serial.value().achieved_beta, got.value().achieved_beta);
+    EXPECT_EQ(serial.value().flow_value, got.value().flow_value);
+    EXPECT_EQ(serial.value().load_feasible, got.value().load_feasible);
+    for (int t = 0; t < targets.count; ++t) {
+      EXPECT_TRUE(serial_filters[t].rects() == got_filters[t].rects())
+          << "shards=" << shards << " filter of target " << t;
+    }
+  }
+}
+
 // The parallel-determinism contract: the pool-backed run must produce a
 // bit-identical SaSolution (assignment and every filter rectangle) to the
 // single-threaded run for the same seed, because all randomness flows
@@ -588,6 +616,15 @@ TEST(SlpTest, ParallelMatchesSerialBitIdentical) {
   }
   EXPECT_DOUBLE_EQ(a.value().fractional_lower_bound,
                    b.value().fractional_lower_bound);
+
+  // The max-flow step alone, at the root of the same tree (the recursion's
+  // shape), sharded on the pool against serial.
+  const Targets root = BuildChildTargets(p, AllSubscribers(p),
+                                         net::BrokerTree::kPublisher);
+  Rng fa_rng(45);
+  auto fa = FilterAssign(p, root, FilterAssignOptions{}, fa_rng);
+  ASSERT_TRUE(fa.ok()) << fa.status().ToString();
+  ExpectFlowShardsMatchSerial(p, root, fa.value().filters);
 }
 
 // The sharding contract: any shard count — including one shard per pool
@@ -624,6 +661,16 @@ TEST(SlpTest, ShardCountsBitIdentical) {
                      got.value().fractional_lower_bound)
         << "shards=" << shards;
   }
+
+  // The max-flow step alone over every row at leaf level (GlobalRepair's
+  // shape). Only each row's nearest leaf covers it, so crowded leaves
+  // strand rows at β_max and enrichment rounds re-shard the covers too.
+  const Targets leaves = BuildLeafTargets(p, AllSubscribers(p));
+  std::vector<Filter> filters(leaves.count);
+  for (int r = 0; r < leaves.num_rows(); ++r) {
+    filters[leaves.candidates(r)[0]] = Filter({Rectangle({-1, -1}, {2, 2})});
+  }
+  ExpectFlowShardsMatchSerial(p, leaves, filters);
 }
 
 // Regression: an assignment still holding the -1 initialization sentinel

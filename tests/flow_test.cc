@@ -1,9 +1,11 @@
 #include <algorithm>
+#include <array>
 #include <queue>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/invariant.h"
 #include "src/common/random.h"
 #include "src/flow/max_flow.h"
 
@@ -197,6 +199,105 @@ TEST(MaxFlowTest, BipartiteAssignmentSaturatesWhenBalanced) {
   }
   EXPECT_EQ(mf.Solve(s, t), ns);
 }
+
+// The subscription-assignment flow runs over cover-set classes: a class
+// edge carries up to the class's whole supply, so its capacities exceed one
+// unit. This drives that shape -- source -> targets (load caps) -> classes
+// (supply on every edge) -> sink -- through the solver's escalation loop:
+// a seed pushed with PushPath in multi-unit amounts, then several rounds
+// of SetCapacity on the target caps, each resuming with Solve. After every
+// round the cumulative value must equal a fresh solve at the same
+// capacities and Edmonds-Karp's, and the conservation audit must stay
+// clean.
+class MultiUnitEscalationTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(MultiUnitEscalationTest, ResumeMatchesFreshSolve) {
+  Rng rng(9100 + GetParam());
+  const int targets = static_cast<int>(rng.UniformInt(2, 6));
+  const int classes = static_cast<int>(rng.UniformInt(2, 8));
+  const int s = 0, t = 1;
+  const auto target_node = [](int i) { return 2 + i; };
+  const auto class_node = [&](int c) { return 2 + targets + c; };
+
+  std::vector<int64_t> cap(targets);
+  for (int64_t& c : cap) c = rng.UniformInt(0, 12);
+  std::vector<int64_t> supply(classes);
+  std::vector<std::vector<int>> covering(classes);
+  for (int c = 0; c < classes; ++c) {
+    supply[c] = rng.UniformInt(1, 15);
+    for (int i = 0; i < targets; ++i) {
+      if (rng.UniformInt(0, 2) > 0) covering[c].push_back(i);
+    }
+    if (covering[c].empty()) {
+      covering[c].push_back(static_cast<int>(rng.UniformInt(0, targets - 1)));
+    }
+  }
+
+  // Builds the graph at the given caps; the edge ids are the same in every
+  // build (target edges first, then per class its sink and cover edges).
+  std::vector<int> target_edge(targets), sink_edge(classes);
+  std::vector<std::vector<int>> class_edge(classes);
+  std::vector<std::array<int64_t, 3>> edges;
+  const auto build = [&](MaxFlow& mf, const std::vector<int64_t>& caps) {
+    edges.clear();
+    for (int i = 0; i < targets; ++i) {
+      target_edge[i] = mf.AddEdge(s, target_node(i), caps[i]);
+      edges.push_back({s, target_node(i), caps[i]});
+    }
+    for (int c = 0; c < classes; ++c) {
+      sink_edge[c] = mf.AddEdge(class_node(c), t, supply[c]);
+      edges.push_back({class_node(c), t, supply[c]});
+      class_edge[c].clear();
+      for (int i : covering[c]) {
+        class_edge[c].push_back(
+            mf.AddEdge(target_node(i), class_node(c), supply[c]));
+        edges.push_back({target_node(i), class_node(c), supply[c]});
+      }
+    }
+  };
+  const int n = 2 + targets + classes;
+  MaxFlow resumed(n);
+  build(resumed, cap);
+
+  // Greedy multi-unit seed: each class pushes as much as its first covering
+  // target still admits.
+  std::vector<int64_t> used(targets, 0);
+  for (int c = 0; c < classes; ++c) {
+    const int i = covering[c][0];
+    const int64_t amount = std::min(supply[c], cap[i] - used[i]);
+    if (amount <= 0) continue;
+    used[i] += amount;
+    resumed.PushPath({target_edge[i], class_edge[c][0], sink_edge[c]},
+                     amount);
+    EXPECT_EQ(resumed.flow(class_edge[c][0]), amount);
+  }
+
+  audit::ResetTripCounts();
+  const audit::Handler previous =
+      audit::SetFailureHandler([](const audit::Violation&) {});
+  for (int round = 0; round < 4; ++round) {
+    if (round > 0) {
+      for (int i = 0; i < targets; ++i) {
+        cap[i] += rng.UniformInt(0, 6);
+        resumed.SetCapacity(target_edge[i], cap[i]);
+      }
+    }
+    const int64_t value = resumed.Solve(s, t);
+    AuditFlowConservation(resumed, s, t);
+    MaxFlow fresh(n);
+    build(fresh, cap);
+    EXPECT_EQ(value, fresh.Solve(s, t)) << "round " << round;
+    EXPECT_EQ(value, EdmondsKarp(n, edges, s, t)) << "round " << round;
+    for (int c = 0; c < classes; ++c) {
+      EXPECT_LE(resumed.flow(sink_edge[c]), supply[c]);
+    }
+  }
+  audit::SetFailureHandler(previous);
+  EXPECT_EQ(audit::trip_count(audit::Category::kFlow), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, MultiUnitEscalationTest,
+                         ::testing::Range(0, 40));
 
 class MaxFlowRandomTest : public ::testing::TestWithParam<int> {};
 
