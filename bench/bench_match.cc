@@ -16,8 +16,10 @@
 // come from deterministic per-shard Rng::Fork substreams, so the stream
 // is identical regardless of how it is later sharded.
 //
-// Prints a table and writes BENCH_match.json (path from argv[1] or
-// SLP_BENCH_MATCH_JSON; default ./BENCH_match.json).
+// The indexed engine's per-call index build is timed apart from routing
+// by a zero-event Simulate call. Prints a table and writes
+// BENCH_match.json with the machine's core count, compiler and build type
+// (path from argv[1] or SLP_BENCH_MATCH_JSON; default ./BENCH_match.json).
 
 #include <algorithm>
 #include <cstdio>
@@ -100,6 +102,22 @@ core::SaSolution NearestLeafSolution(const core::SaProblem& problem) {
     }
   }
   return s;
+}
+
+#ifdef NDEBUG
+constexpr const char* kBuildType = "Release";
+#else
+constexpr const char* kBuildType = "Debug";
+#endif
+
+const char* CompilerName() {
+#if defined(__clang__)
+  return "Clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "GCC " __VERSION__;
+#else
+  return "unknown";
+#endif
 }
 
 bool StatsEqual(const sim::DisseminationStats& a,
@@ -186,7 +204,15 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // Timed runs (index build cost included in the indexed timings).
+  // Timed runs. The indexed timings include the per-call index build;
+  // a zero-event Simulate call builds the same indexes and routes
+  // nothing, which splits build from routing (the subscriber probe that
+  // counts deliveries is also the ground-truth check, so routing and
+  // verification are one phase).
+  WallTimer build_timer;
+  sim::Simulate(problem, solution, {}, {sim::MatchEngine::kIndexed, 1});
+  const double build_seconds = build_timer.Seconds();
+
   WallTimer lin_timer;
   sim::Simulate(problem, solution, prefix, {sim::MatchEngine::kLinear, 1});
   const double lin_seconds = lin_timer.Seconds();
@@ -204,6 +230,9 @@ int Main(int argc, char** argv) {
   const double shard_seconds = shard_timer.Seconds();
   const double shard_eps = num_events / shard_seconds;
 
+  const double route_seconds = std::max(idx_seconds - build_seconds, 1e-9);
+  const double route_eps = num_events / route_seconds;
+
   const bool sharded_ok = StatsEqual(full_idx, full_sharded);
   if (!sharded_ok) {
     std::fprintf(stderr, "SHARDED MISMATCH (%d shards)\n", num_shards);
@@ -218,7 +247,10 @@ int Main(int argc, char** argv) {
   std::printf("%-22s %10d %14.0f %8.1fx\n",
               ("indexed x" + std::to_string(num_shards)).c_str(), num_events,
               shard_eps, shard_eps / lin_eps);
-  std::printf("\ndifferential (prefix): %s; sharded == serial: %s\n",
+  std::printf("\nindexed split: index build %.3fs, route + verify %.3fs "
+              "(%.0f events/sec)\n",
+              build_seconds, route_seconds, route_eps);
+  std::printf("differential (prefix): %s; sharded == serial: %s\n",
               differential_ok ? "identical" : "MISMATCH",
               sharded_ok ? "identical" : "MISMATCH");
 
@@ -227,7 +259,10 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
-  std::fprintf(f, "{\n  \"workload\": \"grid\",\n");
+  std::fprintf(f, "{\n  \"machine\": {\"cores\": %u, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), CompilerName(), kBuildType);
+  std::fprintf(f, "  \"workload\": \"grid\",\n");
   std::fprintf(f, "  \"subscribers\": %d,\n  \"brokers\": %d,\n", subs,
                brokers);
   std::fprintf(f, "  \"events\": %d,\n  \"linear_events\": %d,\n",
@@ -236,6 +271,9 @@ int Main(int argc, char** argv) {
   std::fprintf(f, "  \"linear_events_per_sec\": %.1f,\n", lin_eps);
   std::fprintf(f, "  \"indexed_events_per_sec\": %.1f,\n", idx_eps);
   std::fprintf(f, "  \"sharded_events_per_sec\": %.1f,\n", shard_eps);
+  std::fprintf(f, "  \"index_build_s\": %.4f,\n", build_seconds);
+  std::fprintf(f, "  \"indexed_route_s\": %.4f,\n", route_seconds);
+  std::fprintf(f, "  \"route_events_per_sec\": %.1f,\n", route_eps);
   std::fprintf(f, "  \"speedup_indexed\": %.2f,\n", idx_eps / lin_eps);
   std::fprintf(f, "  \"speedup_sharded\": %.2f,\n", shard_eps / lin_eps);
   std::fprintf(f, "  \"differential_identical\": %s,\n",

@@ -49,7 +49,8 @@ double Rectangle::Volume() const {
 bool Rectangle::ContainsPoint(const Point& p) const {
   SLP_DCHECK(static_cast<int>(p.size()) == dim());
   for (size_t i = 0; i < lo_.size(); ++i) {
-    if (p[i] < lo_[i] || p[i] > hi_[i]) return false;
+    // Positive form: a NaN coordinate fails both tests.
+    if (!(lo_[i] <= p[i] && p[i] <= hi_[i])) return false;
   }
   return true;
 }
@@ -74,7 +75,7 @@ Point Rectangle::Corner(unsigned mask) const {
 bool Rectangle::Contains(const Rectangle& r) const {
   SLP_DCHECK(r.dim() == dim());
   for (size_t i = 0; i < lo_.size(); ++i) {
-    if (r.lo_[i] < lo_[i] || r.hi_[i] > hi_[i]) return false;
+    if (!(lo_[i] <= r.lo_[i] && r.hi_[i] <= hi_[i])) return false;
   }
   return true;
 }

@@ -36,6 +36,9 @@ namespace slp::geo {
 //    samples with probability > 0).
 //  * Degenerate boxes (lo_i == hi_i somewhere) still contain the points
 //    of their face; a point box contains exactly its one point.
+//  * A NaN coordinate is contained in nothing: every containment test is
+//    written in the positive form lo <= x && x <= hi, which NaN fails.
+//    ±inf is contained only by a box unbounded on that side.
 class Rectangle {
  public:
   Rectangle() = default;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "src/common/invariant.h"
@@ -10,13 +11,27 @@ namespace slp::match {
 
 namespace {
 
-// Grid resolution: ~sqrt(n) cells per axis keeps expected candidates per
-// cell O(1) for small rectangles while bounding build cost for large ones
-// (a rectangle spanning the whole extent touches every cell of its rows).
-int GridResolution(int num_rects) {
-  const int g = static_cast<int>(std::ceil(std::sqrt(
-      static_cast<double>(std::max(num_rects, 1)))));
-  return std::clamp(g, 1, 512);
+// Grid resolution. The start is ~sqrt(n) cells per axis, capped at
+// kMaxGrid: O(1) expected candidates per cell for small rectangles. A
+// rectangle spanning a fraction w of both axes is copied into ~(w·g)²
+// cells, though, so wide rectangles on a fine grid blow the CSR up (100k
+// grid subscriptions at g = 317 hold ~1,400 entries each). The build then
+// coarsens g by 3/4 per step while the CSR holds more than
+// kMaxEntriesPerRect entries per rectangle (g = 1 holds exactly one), and
+// past that while coarsening does not lengthen the mean cell list — the
+// expected candidates of a uniform probe — which it never does for
+// rectangles spanning the whole box. A coarser grid only lengthens
+// candidate lists; every probe still tests exact containment, so answers
+// and their order do not depend on g.
+constexpr int kMaxGrid = 512;
+constexpr uint64_t kMaxEntriesPerRect = 16;
+
+// floor(t) clamped to [0, cells). Written in the positive form so a NaN t
+// (0·inf on an unbounded axis) lands in cell 0 and no value outside int
+// range reaches the cast; truncation equals floor for t >= 1.
+int ClampCell(double t, int cells) {
+  if (!(t >= 1)) return 0;
+  return t < cells ? static_cast<int>(t) : cells - 1;
 }
 
 }  // namespace
@@ -35,13 +50,11 @@ MatchIndex MatchIndex::Builder::Build() && {
 
 int MatchIndex::CellX(double x) const {
   // inv_wx_ == 0 (flat axis or empty index) maps everything to cell 0.
-  const int c = static_cast<int>(std::floor((x - min_x_) * inv_wx_));
-  return std::clamp(c, 0, gx_ - 1);
+  return ClampCell((x - min_x_) * inv_wx_, gx_);
 }
 
 int MatchIndex::CellY(double y) const {
-  const int c = static_cast<int>(std::floor((y - min_y_) * inv_wy_));
-  return std::clamp(c, 0, gy_ - 1);
+  return ClampCell((y - min_y_) * inv_wy_, gy_);
 }
 
 geo::Rectangle MatchIndex::rect(int k) const {
@@ -52,14 +65,12 @@ geo::Rectangle MatchIndex::rect(int k) const {
 void MatchIndex::Probe(double x, double y, BitSet* owners,
                        std::vector<int32_t>* matched) const {
   SLP_DCHECK(owners->size() >= num_owners_);
-  if (owner_.empty() || x < min_x_ || x > max_x_ || y < min_y_ || y > max_y_) {
-    return;
-  }
+  if (!InBox(x, y)) return;
   int count = 0;
   const int32_t* ids = CellBegin(CellX(x), CellY(y), &count);
   for (int i = 0; i < count; ++i) {
     const int32_t k = ids[i];
-    if (x < lo_x_[k] || x > hi_x_[k] || y < lo_y_[k] || y > hi_y_[k]) continue;
+    if (!Contains(k, x, y)) continue;
     const int32_t o = owner_[k];
     if (!owners->Test(o)) {
       owners->Set(o);
@@ -69,29 +80,25 @@ void MatchIndex::Probe(double x, double y, BitSet* owners,
 }
 
 int MatchIndex::CountContaining(double x, double y) const {
-  if (owner_.empty() || x < min_x_ || x > max_x_ || y < min_y_ || y > max_y_) {
-    return 0;
-  }
+  if (!InBox(x, y)) return 0;
   int count = 0;
   const int32_t* ids = CellBegin(CellX(x), CellY(y), &count);
   int hits = 0;
   for (int i = 0; i < count; ++i) {
     const int32_t k = ids[i];
-    hits += x >= lo_x_[k] && x <= hi_x_[k] && y >= lo_y_[k] && y <= hi_y_[k];
+    hits += Contains(k, x, y);
   }
   return hits;
 }
 
 void MatchIndex::AppendContaining(double x, double y,
                                   std::vector<int32_t>* out) const {
-  if (owner_.empty() || x < min_x_ || x > max_x_ || y < min_y_ || y > max_y_) {
-    return;
-  }
+  if (!InBox(x, y)) return;
   int count = 0;
   const int32_t* ids = CellBegin(CellX(x), CellY(y), &count);
   for (int i = 0; i < count; ++i) {
     const int32_t k = ids[i];
-    if (x >= lo_x_[k] && x <= hi_x_[k] && y >= lo_y_[k] && y <= hi_y_[k]) {
+    if (Contains(k, x, y)) {
       out->push_back(owner_[k]);
     }
   }
@@ -101,10 +108,7 @@ void MatchIndex::AppendContainingRect(const geo::Rectangle& q,
                                       std::vector<int32_t>* out) const {
   SLP_DCHECK(q.dim() == 2);
   const double qlx = q.lo(0), qhx = q.hi(0), qly = q.lo(1), qhy = q.hi(1);
-  if (owner_.empty() || qlx < min_x_ || qhx > max_x_ || qly < min_y_ ||
-      qhy > max_y_) {
-    return;
-  }
+  if (!InBox(qlx, qly) || !InBox(qhx, qhy)) return;
   int count = 0;
   const int32_t* ids = CellBegin(CellX(qlx), CellY(qly), &count);
   for (int i = 0; i < count; ++i) {
@@ -117,14 +121,12 @@ void MatchIndex::AppendContainingRect(const geo::Rectangle& q,
 }
 
 bool MatchIndex::AnyContains(double x, double y) const {
-  if (owner_.empty() || x < min_x_ || x > max_x_ || y < min_y_ || y > max_y_) {
-    return false;
-  }
+  if (!InBox(x, y)) return false;
   int count = 0;
   const int32_t* ids = CellBegin(CellX(x), CellY(y), &count);
   for (int i = 0; i < count; ++i) {
     const int32_t k = ids[i];
-    if (x >= lo_x_[k] && x <= hi_x_[k] && y >= lo_y_[k] && y <= hi_y_[k]) {
+    if (Contains(k, x, y)) {
       return true;
     }
   }
@@ -146,10 +148,11 @@ MatchIndex BuildIndex(const std::vector<OwnedRect>& rects, int num_owners) {
   idx.lo_y_.resize(n);
   idx.hi_y_.resize(n);
   idx.owner_.resize(n);
-  idx.min_x_ = rects[0].rect.lo(0);
-  idx.max_x_ = rects[0].rect.hi(0);
-  idx.min_y_ = rects[0].rect.lo(1);
-  idx.max_y_ = rects[0].rect.hi(1);
+  // Bounding box. std::min/max keep their first argument against a NaN
+  // bound, so a NaN rectangle (which contains nothing) never widens it.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  idx.min_x_ = idx.min_y_ = kInf;
+  idx.max_x_ = idx.max_y_ = -kInf;
   for (int k = 0; k < n; ++k) {
     const geo::Rectangle& r = rects[k].rect;
     SLP_DCHECK(r.dim() == 2);
@@ -165,16 +168,41 @@ MatchIndex BuildIndex(const std::vector<OwnedRect>& rects, int num_owners) {
     idx.max_y_ = std::max(idx.max_y_, r.hi(1));
   }
 
-  idx.gx_ = GridResolution(n);
-  idx.gy_ = idx.gx_;
-  idx.inv_wx_ = idx.max_x_ > idx.min_x_
-                    ? static_cast<double>(idx.gx_) / (idx.max_x_ - idx.min_x_)
-                    : 0;
-  idx.inv_wy_ = idx.max_y_ > idx.min_y_
-                    ? static_cast<double>(idx.gy_) / (idx.max_y_ - idx.min_y_)
-                    : 0;
-  if (idx.inv_wx_ == 0) idx.gx_ = 1;
-  if (idx.inv_wy_ == 0) idx.gy_ = 1;
+  const auto set_grid = [&idx](int g) {
+    idx.inv_wx_ = idx.max_x_ > idx.min_x_ ? g / (idx.max_x_ - idx.min_x_) : 0;
+    idx.inv_wy_ = idx.max_y_ > idx.min_y_ ? g / (idx.max_y_ - idx.min_y_) : 0;
+    idx.gx_ = idx.inv_wx_ == 0 ? 1 : g;
+    idx.gy_ = idx.inv_wy_ == 0 ? 1 : g;
+  };
+  const auto cell_entries = [&idx, n] {
+    uint64_t total = 0;
+    for (int k = 0; k < n; ++k) {
+      const int wx = idx.CellX(idx.hi_x_[k]) - idx.CellX(idx.lo_x_[k]) + 1;
+      const int wy = idx.CellY(idx.hi_y_[k]) - idx.CellY(idx.lo_y_[k]) + 1;
+      total += static_cast<uint64_t>(std::max(wx, 0)) * std::max(wy, 0);
+    }
+    return total;
+  };
+  const auto grid_cells = [&idx] {
+    return static_cast<uint64_t>(idx.gx_) * idx.gy_;
+  };
+  int g = std::min(kMaxGrid, static_cast<int>(std::ceil(std::sqrt(n))));
+  set_grid(g);
+  uint64_t entries = cell_entries();
+  while (g > 1) {
+    const uint64_t cells = grid_cells();
+    const int coarser = g * 3 / 4;
+    set_grid(coarser);
+    const uint64_t coarser_entries = cell_entries();
+    // Within budget, coarsen only if the mean cell list does not grow.
+    if (entries <= kMaxEntriesPerRect * n &&
+        coarser_entries * cells > entries * grid_cells()) {
+      set_grid(g);
+      break;
+    }
+    g = coarser;
+    entries = coarser_entries;
+  }
 
   // CSR fill, two passes: count entries per cell, then place rect ids.
   // Rect k covers the cell ranges [CellX(lo), CellX(hi)] x [CellY(lo),

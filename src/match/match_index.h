@@ -63,6 +63,9 @@ class MatchIndex {
 
   int num_owners() const { return num_owners_; }
   int num_rects() const { return static_cast<int>(owner_.size()); }
+  // Total CSR entries (rectangle copies across grid cells): at most
+  // 16 per rectangle by the grid-resolution rule.
+  size_t num_cell_entries() const { return cell_rects_.size(); }
 
   // Rectangle k as ingested (reconstructed from the SoA arrays).
   geo::Rectangle rect(int k) const;
@@ -98,6 +101,17 @@ class MatchIndex {
  private:
   friend MatchIndex BuildIndex(const std::vector<OwnedRect>& rects,
                                int num_owners);
+
+  // Positive-form containment tests: a NaN coordinate fails every
+  // comparison, so it is contained in nothing. InBox is false on an
+  // empty (or default-constructed, CSR-less) index.
+  bool InBox(double x, double y) const {
+    return !owner_.empty() && min_x_ <= x && x <= max_x_ && min_y_ <= y &&
+           y <= max_y_;
+  }
+  bool Contains(int k, double x, double y) const {
+    return lo_x_[k] <= x && x <= hi_x_[k] && lo_y_[k] <= y && y <= hi_y_[k];
+  }
 
   // Grid cell of a coordinate, clamped to the axis range. Monotone in x,
   // which is what makes [CellX(lo), CellX(hi)] cover every cell a

@@ -90,21 +90,16 @@ void RouteEventLinear(const core::SaProblem& problem,
 // The per-deployment indexes, built once per Simulate call:
 //  * brokers     — every filter rectangle, owner = tree node id; one probe
 //                  yields the set of brokers whose filters contain e;
-//  * leaf[v]     — leaf v's subscriptions, owner = position in
-//                  subs_of_leaf[v]; a count per reached leaf replaces the
-//                  per-subscriber scan (subscriptions are single
-//                  rectangles, so a plain hit count is exact);
-//  * subscribers — all placed subscriptions, owner = subscriber index;
-//                  drives the ground-truth miss walk in O(matches).
+//  * subscribers — all placed subscriptions, owner = subscriber index; one
+//                  probe yields every matching subscriber, which settles
+//                  deliveries, wasted leaf hits and misses in O(matches).
 struct DeploymentIndex {
   match::MatchIndex brokers;
-  std::vector<match::MatchIndex> leaf;  // by node id; empty for non-leaves
   match::MatchIndex subscribers;
 };
 
-DeploymentIndex BuildDeploymentIndex(
-    const core::SaProblem& problem, const core::SaSolution& solution,
-    const std::vector<std::vector<int>>& subs_of_leaf) {
+DeploymentIndex BuildDeploymentIndex(const core::SaProblem& problem,
+                                     const core::SaSolution& solution) {
   const auto& tree = problem.tree();
   DeploymentIndex dx;
 
@@ -117,20 +112,9 @@ DeploymentIndex BuildDeploymentIndex(
   dx.brokers = match::BuildIndex(broker_rects, tree.num_nodes());
 
   std::vector<match::OwnedRect> sub_rects;
-  dx.leaf.resize(tree.num_nodes());
-  for (int v : tree.leaf_brokers()) {
-    std::vector<match::OwnedRect> local;
-    local.reserve(subs_of_leaf[v].size());
-    for (int j : subs_of_leaf[v]) {
-      local.push_back({static_cast<int32_t>(local.size()),
-                       problem.subscriber(j).subscription});
-      sub_rects.push_back({j, problem.subscriber(j).subscription});
-    }
-    dx.leaf[v] = match::BuildIndex(local, static_cast<int>(local.size()));
-#if SLP_AUDITS_ENABLED
-    match::AuditIndex(dx.leaf[v], local,
-                      "dissemination leaf index " + std::to_string(v));
-#endif
+  for (int j = 0; j < problem.num_subscribers(); ++j) {
+    if (solution.assignment[j] < 0) continue;
+    sub_rects.push_back({j, problem.subscriber(j).subscription});
   }
   dx.subscribers =
       match::BuildIndex(sub_rects, problem.num_subscribers());
@@ -146,10 +130,11 @@ DeploymentIndex BuildDeploymentIndex(
 // routing thread reuses across events (no allocation per event).
 struct IndexedRouter {
   explicit IndexedRouter(const DeploymentIndex& dx, int num_nodes)
-      : broker_probe(&dx.brokers), reached(num_nodes) {}
+      : broker_probe(&dx.brokers), reached(num_nodes), served(num_nodes) {}
 
   match::MatchBatch broker_probe;
   match::BitSet reached;  // leaves this event's DFS entered
+  match::BitSet served;   // reached leaves with a matching subscriber
   std::vector<int> reached_leaves;
   std::vector<int> stack;
   std::vector<int32_t> sub_matched;
@@ -176,12 +161,6 @@ void RouteEventIndexed(const core::SaProblem& problem,
     ++stats->broker_hits[v];
     ++stats->total_messages;
     if (tree.is_leaf(v)) {
-      const int cnt = dx.leaf[v].CountContaining(x, y);
-      if (cnt > 0) {
-        stats->deliveries += cnt;
-      } else {
-        ++stats->wasted_leaf_hits;
-      }
       router->reached.Set(v);
       router->reached_leaves.push_back(v);
     } else {
@@ -189,18 +168,32 @@ void RouteEventIndexed(const core::SaProblem& problem,
     }
   }
 
-  // Ground truth over matching placed subscribers only: j's event was
-  // delivered iff the DFS entered j's leaf (the filter chain containing e
-  // is exactly the DFS entry condition).
+  // One subscriber probe settles every leaf: a matching placed subscriber
+  // j is a delivery iff the DFS entered j's leaf (the filter chain
+  // containing e is exactly the DFS entry condition), else a miss; a
+  // reached leaf that no matching subscriber sits on is a wasted hit.
   router->sub_matched.clear();
   dx.subscribers.AppendContaining(x, y, &router->sub_matched);
+  int served_leaves = 0;
   for (const int32_t j : router->sub_matched) {
-    if (!router->reached.Test(solution.assignment[j])) {
+    const int leaf = solution.assignment[j];
+    if (!router->reached.Test(leaf)) {
       ++stats->missed_deliveries;
+      continue;
+    }
+    ++stats->deliveries;
+    if (!router->served.Test(leaf)) {
+      router->served.Set(leaf);
+      ++served_leaves;
     }
   }
+  stats->wasted_leaf_hits +=
+      static_cast<int64_t>(router->reached_leaves.size()) - served_leaves;
 
-  for (const int v : router->reached_leaves) router->reached.Reset(v);
+  for (const int v : router->reached_leaves) {
+    router->reached.Reset(v);
+    router->served.Reset(v);
+  }
   router->reached_leaves.clear();
 }
 
@@ -244,7 +237,7 @@ DisseminationStats Simulate(const core::SaProblem& problem,
       problem.num_subscribers() > 0 &&
       problem.subscriber(0).subscription.dim() == 2;
   DeploymentIndex dx;
-  if (indexed) dx = BuildDeploymentIndex(problem, solution, subs_of_leaf);
+  if (indexed) dx = BuildDeploymentIndex(problem, solution);
 
   const int num_events = static_cast<int>(events.size());
   const int shards =

@@ -15,12 +15,14 @@
 // Two interchangeable matching engines drive the replay (DESIGN.md §11):
 //
 //  * kIndexed (default) — the production fast path. All broker filter
-//    rectangles go into one match::MatchIndex (owner = node id) and each
-//    leaf's subscriptions into a per-leaf index, so routing an event costs
-//    one index probe for the whole tree (a bitset of brokers whose filters
-//    contain it), a bit-test DFS per hop, and one popcount-style count per
-//    reached leaf; the ground-truth miss walk probes a global subscriber
-//    index instead of scanning all m subscriptions.
+//    rectangles go into one match::MatchIndex (owner = node id) and all
+//    placed subscriptions into another (owner = subscriber), so routing an
+//    event costs one broker probe for the whole tree (a bitset of brokers
+//    whose filters contain it), a bit-test DFS per hop, and one subscriber
+//    probe: a matching subscriber whose leaf the DFS reached is a
+//    delivery, one whose leaf it did not reach is a miss, and a reached
+//    leaf with no matching subscriber is a wasted hit. Both indexes are
+//    built once per Simulate call.
 //  * kLinear — the legacy rectangle-by-rectangle scan, kept as the
 //    differential baseline. Both engines produce bit-identical
 //    DisseminationStats on every workload (enforced by tests/match_test).

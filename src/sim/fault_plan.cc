@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -27,8 +27,20 @@ struct GroundTruth {
   int64_t* stale_deliveries = nullptr;
 };
 
-// Routes one event over the live overlay: a broker forwards iff it is
-// live and the event lies inside its current (DynamicAssigner) filter.
+// Counts a delivery to handle h; with ground truth, one to an offline
+// client is stale.
+void CountDelivery(int h, const GroundTruth* truth, DisseminationStats* stats) {
+  if (truth != nullptr &&
+      truth->channel->client_offline((*truth->client_of_handle)[h])) {
+    ++*truth->stale_deliveries;
+  } else {
+    ++stats->deliveries;
+  }
+}
+
+// Linear engine. Routes one event over the live overlay: a broker forwards
+// iff it is live and the event lies inside its current (DynamicAssigner)
+// filter.
 // Failed brokers never appear in live_children, which the SLP_DCHECK below
 // asserts — they are excluded from total_messages by construction. With
 // ground truth, an actually-down broker still *receives* the message (its
@@ -60,12 +72,7 @@ void RouteLiveEvent(const core::DynamicAssigner& dyn, const geo::Point& event,
       for (int h : handles_of_leaf[v]) {
         if (dyn.subscriber(h).subscription.ContainsPoint(event)) {
           matched_any = true;
-          if (truth != nullptr &&
-              truth->channel->client_offline((*truth->client_of_handle)[h])) {
-            ++*truth->stale_deliveries;
-          } else {
-            ++stats->deliveries;
-          }
+          CountDelivery(h, truth, stats);
         }
       }
       if (!matched_any) ++stats->wasted_leaf_hits;
@@ -118,137 +125,159 @@ std::vector<std::vector<int>> HandlesByLeaf(const core::DynamicAssigner& dyn) {
   return out;
 }
 
-// ---- Indexed live routing (DESIGN.md §11) ----
+// ---- Live matching (DESIGN.md §11) ----
 //
-// The live analogue of the dissemination DeploymentIndex, rebuilt whenever
-// placement changes (the same trigger that refreshes HandlesByLeaf):
+// Routes events over the live overlay with either engine and hands the
+// replay the matching handles each event did not reach, for its miss
+// attribution. Refresh() runs whenever placement changes (repairs,
+// fail/recover, expiries, reconnects). The indexed engine then rebuilds
+// two indexes:
 //  * brokers — current filter rectangles of every *live* broker (failed
 //    brokers are excluded at build time, so they can never be probed in);
-//  * leaf[v] — live leaf v's placed subscriptions, for the delivery count;
-//  * handles — every occupied handle (placed, orphaned, or parked), for
-//    the ground-truth miss-attribution walk in O(matches) per event.
-struct LiveEngine {
-  match::MatchIndex brokers;
-  std::vector<match::MatchIndex> leaf;  // by node id
-  match::MatchIndex handles;
+//  * handles — every occupied handle (placed, orphaned, or parked); one
+//    probe per event settles deliveries, wasted leaf hits and the
+//    unreached handles in O(matches).
+// The linear engine regroups handles by leaf instead and scans them all.
+class LiveMatcher {
+ public:
+  LiveMatcher(const core::DynamicAssigner& dyn, MatchEngine engine)
+      : dyn_(dyn),
+        reached_(dyn.tree().num_nodes()),
+        served_(dyn.tree().num_nodes()) {
+    // Indexed matching is d=2-only; other dimensions (and the empty
+    // population) take the linear scans.
+    if (engine == MatchEngine::kIndexed) {
+      for (int h = 0; h < dyn.slot_count(); ++h) {
+        if (!dyn.is_occupied(h)) continue;
+        indexed_ = dyn.subscriber(h).subscription.dim() == 2;
+        break;
+      }
+    }
+    Refresh();
+  }
+  LiveMatcher(const LiveMatcher&) = delete;
+  LiveMatcher& operator=(const LiveMatcher&) = delete;
+
+  void Refresh();
+
+  // Routes one event, counting broker hits, deliveries (stale ones with
+  // ground truth) and wasted leaf hits into `stats`. Returns the occupied
+  // handles whose subscription matches but which the event did not reach:
+  // unplaced, or placed on a leaf the event never physically arrived at.
+  // Valid until the next call.
+  const std::vector<int32_t>& Route(const geo::Point& event,
+                                    const GroundTruth* truth,
+                                    DisseminationStats* stats);
+
+ private:
+  const core::DynamicAssigner& dyn_;
+  bool indexed_ = false;
+  std::vector<std::vector<int>> handles_of_leaf_;  // linear engine
+  match::MatchIndex brokers_, handles_;            // indexed engine
+  std::optional<match::MatchBatch> broker_probe_;  // probes brokers_
+  match::BitSet reached_;  // live leaves the event physically arrived at
+  match::BitSet served_;   // reached leaves with a matching handle
+  std::vector<int> reached_leaves_, stack_;
+  std::vector<int32_t> matched_, unserved_;
 };
 
-LiveEngine BuildLiveEngine(const core::DynamicAssigner& dyn,
-                           const std::vector<std::vector<int>>&
-                               handles_of_leaf) {
-  const net::BrokerTree& tree = dyn.tree();
-  LiveEngine eng;
-
+void LiveMatcher::Refresh() {
+  if (!indexed_) {
+    handles_of_leaf_ = HandlesByLeaf(dyn_);
+    return;
+  }
+  const net::BrokerTree& tree = dyn_.tree();
   std::vector<match::OwnedRect> broker_rects;
   for (int v = 1; v < tree.num_nodes(); ++v) {
     if (tree.is_failed(v)) continue;
-    for (const geo::Rectangle& r : dyn.filter(v)) {
+    for (const geo::Rectangle& r : dyn_.filter(v)) {
       broker_rects.push_back({v, r});
     }
   }
-  eng.brokers = match::BuildIndex(broker_rects, tree.num_nodes());
-
-  eng.leaf.resize(tree.num_nodes());
-  for (int v : tree.live_leaf_brokers()) {
-    std::vector<match::OwnedRect> local;
-    local.reserve(handles_of_leaf[v].size());
-    for (int h : handles_of_leaf[v]) {
-      local.push_back({static_cast<int32_t>(local.size()),
-                       dyn.subscriber(h).subscription});
-    }
-    eng.leaf[v] = match::BuildIndex(local, static_cast<int>(local.size()));
-  }
+  brokers_ = match::BuildIndex(broker_rects, tree.num_nodes());
+  broker_probe_.emplace(&brokers_);
 
   std::vector<match::OwnedRect> handle_rects;
-  for (int h = 0; h < dyn.slot_count(); ++h) {
-    if (!dyn.is_occupied(h)) continue;
-    handle_rects.push_back({h, dyn.subscriber(h).subscription});
+  for (int h = 0; h < dyn_.slot_count(); ++h) {
+    if (!dyn_.is_occupied(h)) continue;
+    handle_rects.push_back({h, dyn_.subscriber(h).subscription});
   }
-  eng.handles = match::BuildIndex(handle_rects, dyn.slot_count());
+  handles_ = match::BuildIndex(handle_rects, dyn_.slot_count());
 #if SLP_AUDITS_ENABLED
-  match::AuditIndex(eng.brokers, broker_rects, "fault-replay broker index");
-  match::AuditIndex(eng.handles, handle_rects, "fault-replay handle index");
+  match::AuditIndex(brokers_, broker_rects, "fault-replay broker index");
+  match::AuditIndex(handles_, handle_rects, "fault-replay handle index");
 #endif
-  return eng;
 }
 
-// Per-replay probe workspace; recreated with the engine on rebuilds (the
-// MatchBatch holds a pointer into it).
-struct LiveRouter {
-  LiveRouter(const LiveEngine& eng, int num_nodes)
-      : broker_probe(&eng.brokers), reached(num_nodes) {}
+const std::vector<int32_t>& LiveMatcher::Route(const geo::Point& event,
+                                               const GroundTruth* truth,
+                                               DisseminationStats* stats) {
+  unserved_.clear();
+  if (!indexed_) {
+    RouteLiveEvent(dyn_, event, handles_of_leaf_, truth, stats);
+    for (int h = 0; h < dyn_.slot_count(); ++h) {
+      if (!dyn_.is_occupied(h)) continue;
+      if (!dyn_.subscriber(h).subscription.ContainsPoint(event)) continue;
+      const int leaf = dyn_.leaf_of(h);
+      if (leaf < 0 || !ReachedOverLivePath(dyn_, leaf, event, truth)) {
+        unserved_.push_back(h);
+      }
+    }
+    return unserved_;
+  }
 
-  match::MatchBatch broker_probe;
-  match::BitSet reached;  // live leaves this event physically arrived at
-  std::vector<int> reached_leaves;
-  std::vector<int> stack;
-  std::vector<int32_t> matched_handles;
-  std::vector<int32_t> matched_local;
-};
-
-// Indexed replacement for RouteLiveEvent: one probe per event, a bit test
-// per live hop, a hit count per reached leaf. Leaves router->reached set
-// for the ground-truth walk; the caller clears it via ClearReached. With
-// ground truth, the DFS prunes at actually-down brokers (after counting
-// the message the believed parent sent), so `reached` means "the event
-// physically arrived", not "the believed overlay would have routed it".
-void RouteLiveEventIndexed(const core::DynamicAssigner& dyn,
-                           const geo::Point& event, const LiveEngine& eng,
-                           const std::vector<std::vector<int>>&
-                               handles_of_leaf,
-                           const GroundTruth* truth, LiveRouter* router,
-                           DisseminationStats* stats) {
-  const net::BrokerTree& tree = dyn.tree();
+  // One probe answers e ∈ f_v for every live broker v; the DFS costs a bit
+  // test per live hop. With ground truth it prunes at actually-down
+  // brokers (after counting the message the believed parent sent), so a
+  // reached leaf is one the event physically arrived at.
+  const net::BrokerTree& tree = dyn_.tree();
   const double x = event[0], y = event[1];
-  router->broker_probe.Probe(x, y);
-  const match::BitSet& contains = router->broker_probe.owners();
-
-  router->stack.assign(
-      tree.live_children(net::BrokerTree::kPublisher).begin(),
-      tree.live_children(net::BrokerTree::kPublisher).end());
-  while (!router->stack.empty()) {
-    const int v = router->stack.back();
-    router->stack.pop_back();
+  broker_probe_->Probe(x, y);
+  const match::BitSet& contains = broker_probe_->owners();
+  stack_.assign(tree.live_children(net::BrokerTree::kPublisher).begin(),
+                tree.live_children(net::BrokerTree::kPublisher).end());
+  while (!stack_.empty()) {
+    const int v = stack_.back();
+    stack_.pop_back();
     SLP_DCHECK(!tree.is_failed(v));
     if (!contains.Test(v)) continue;
     ++stats->broker_hits[v];
     ++stats->total_messages;
     if (truth != nullptr && truth->channel->broker_down(v)) continue;
     if (tree.is_leaf(v)) {
-      if (truth == nullptr) {
-        const int cnt = eng.leaf[v].CountContaining(x, y);
-        if (cnt > 0) {
-          stats->deliveries += cnt;
-        } else {
-          ++stats->wasted_leaf_hits;
-        }
-      } else {
-        router->matched_local.clear();
-        eng.leaf[v].AppendContaining(x, y, &router->matched_local);
-        if (router->matched_local.empty()) {
-          ++stats->wasted_leaf_hits;
-        }
-        for (const int32_t local : router->matched_local) {
-          const int h = handles_of_leaf[v][local];
-          if (truth->channel->client_offline(
-                  (*truth->client_of_handle)[h])) {
-            ++*truth->stale_deliveries;
-          } else {
-            ++stats->deliveries;
-          }
-        }
-      }
-      router->reached.Set(v);
-      router->reached_leaves.push_back(v);
+      reached_.Set(v);
+      reached_leaves_.push_back(v);
     } else {
-      for (int c : tree.live_children(v)) router->stack.push_back(c);
+      for (int c : tree.live_children(v)) stack_.push_back(c);
     }
   }
-}
 
-void ClearReached(LiveRouter* router) {
-  for (const int v : router->reached_leaves) router->reached.Reset(v);
-  router->reached_leaves.clear();
+  // One handle probe settles every leaf: a matching handle on a reached
+  // leaf is a delivery; a reached leaf no matching handle sits on is a
+  // wasted hit.
+  matched_.clear();
+  handles_.AppendContaining(x, y, &matched_);
+  int served_leaves = 0;
+  for (const int32_t h : matched_) {
+    const int leaf = dyn_.leaf_of(h);
+    if (leaf < 0 || !reached_.Test(leaf)) {
+      unserved_.push_back(h);
+      continue;
+    }
+    CountDelivery(h, truth, stats);
+    if (!served_.Test(leaf)) {
+      served_.Set(leaf);
+      ++served_leaves;
+    }
+  }
+  stats->wasted_leaf_hits +=
+      static_cast<int64_t>(reached_leaves_.size()) - served_leaves;
+  for (const int v : reached_leaves_) {
+    reached_.Reset(v);
+    served_.Reset(v);
+  }
+  reached_leaves_.clear();
+  return unserved_;
 }
 
 // Fresh-baseline Q(T) over the surviving live topology (shared by both
@@ -341,26 +370,8 @@ Result<FaultReplayResult> ReplayWithFaults(
   result.stats.broker_hits.assign(dyn.tree().num_nodes(), 0);
 
   core::RepairEngine engine(&dyn, options.repair);
-  std::vector<std::vector<int>> handles_of_leaf = HandlesByLeaf(dyn);
+  LiveMatcher matcher(dyn, options.engine);
   bool placement_dirty = false;
-
-  // Indexed matching is d=2-only; other dimensions (and the empty
-  // population) take the legacy linear scans.
-  bool indexed = false;
-  if (options.engine == MatchEngine::kIndexed) {
-    for (int h = 0; h < dyn.slot_count(); ++h) {
-      if (!dyn.is_occupied(h)) continue;
-      indexed = dyn.subscriber(h).subscription.dim() == 2;
-      break;
-    }
-  }
-  LiveEngine live_engine;
-  std::unique_ptr<LiveRouter> router;
-  if (indexed) {
-    live_engine = BuildLiveEngine(dyn, handles_of_leaf);
-    router = std::make_unique<LiveRouter>(live_engine,
-                                          dyn.tree().num_nodes());
-  }
 
   EpochRecoveryStats epoch;
   epoch.first_event = 0;
@@ -408,76 +419,27 @@ Result<FaultReplayResult> ReplayWithFaults(
       outage_start = -1;
     }
 
-    // 3. Route the event over the live overlay.
+    // 3. Route the event over the live overlay, then (4.) attribute every
+    // matching handle it did not reach to its cause.
     if (placement_dirty) {
-      handles_of_leaf = HandlesByLeaf(dyn);
-      if (indexed) {
-        live_engine = BuildLiveEngine(dyn, handles_of_leaf);
-        router = std::make_unique<LiveRouter>(live_engine,
-                                              dyn.tree().num_nodes());
-      }
+      matcher.Refresh();
       placement_dirty = false;
     }
-    const geo::Point& event = events[i];
     ++result.stats.events;
     ++epoch.num_events;
-    if (indexed) {
-      RouteLiveEventIndexed(dyn, event, live_engine, handles_of_leaf,
-                            /*truth=*/nullptr, router.get(), &result.stats);
-    } else {
-      RouteLiveEvent(dyn, event, handles_of_leaf, /*truth=*/nullptr,
-                     &result.stats);
-    }
-
-    // 4. Ground truth: attribute every miss to its cause. The indexed
-    // engine probes the handle index (O(matching handles) per event) and
-    // tests the reached bit the routing DFS left behind; the linear engine
-    // scans every occupied handle and re-walks the live path.
-    if (indexed) {
-      router->matched_handles.clear();
-      live_engine.handles.AppendContaining(event[0], event[1],
-                                           &router->matched_handles);
-      for (const int32_t h : router->matched_handles) {
-        const int leaf = dyn.leaf_of(h);
-        if (leaf < 0) {
-          // Orphaned, or degraded and parked unplaced: the outage's price.
-          ++result.missed_outage;
-          ++epoch.missed_outage;
-          continue;
-        }
-        if (router->reached.Test(leaf)) continue;
-        if (dyn.state(h) == core::SubscriberState::kLive) {
-          ++result.missed_live;
-          ++epoch.missed_live;
-          ++result.stats.missed_deliveries;
-        } else {
-          ++result.missed_degraded;
-          ++epoch.missed_degraded;
-        }
-      }
-      ClearReached(router.get());
-    } else {
-      for (int h = 0; h < dyn.slot_count(); ++h) {
-        if (!dyn.is_occupied(h)) continue;
-        if (!dyn.subscriber(h).subscription.ContainsPoint(event)) continue;
-        const int leaf = dyn.leaf_of(h);
-        if (leaf < 0) {
-          // Orphaned, or degraded and parked unplaced: the outage's price.
-          ++result.missed_outage;
-          ++epoch.missed_outage;
-          continue;
-        }
-        if (ReachedOverLivePath(dyn, leaf, event, /*truth=*/nullptr)) {
-          continue;
-        }
-        if (dyn.state(h) == core::SubscriberState::kLive) {
-          ++result.missed_live;
-          ++epoch.missed_live;
-          ++result.stats.missed_deliveries;
-        } else {
-          ++result.missed_degraded;
-          ++epoch.missed_degraded;
-        }
+    for (const int32_t h :
+         matcher.Route(events[i], /*truth=*/nullptr, &result.stats)) {
+      if (dyn.leaf_of(h) < 0) {
+        // Orphaned, or degraded and parked unplaced: the outage's price.
+        ++result.missed_outage;
+        ++epoch.missed_outage;
+      } else if (dyn.state(h) == core::SubscriberState::kLive) {
+        ++result.missed_live;
+        ++epoch.missed_live;
+        ++result.stats.missed_deliveries;
+      } else {
+        ++result.missed_degraded;
+        ++epoch.missed_degraded;
       }
     }
 
@@ -554,23 +516,8 @@ Result<FaultReplayResult> ReplayStaleness(
   truth.client_of_handle = &client_of_handle;
   truth.stale_deliveries = &result.stale_deliveries;
 
-  std::vector<std::vector<int>> handles_of_leaf = HandlesByLeaf(dyn);
+  LiveMatcher matcher(dyn, options.engine);
   bool placement_dirty = false;
-
-  bool indexed = false;
-  if (options.engine == MatchEngine::kIndexed) {
-    for (int h = 0; h < dyn.slot_count(); ++h) {
-      if (!dyn.is_occupied(h)) continue;
-      indexed = dyn.subscriber(h).subscription.dim() == 2;
-      break;
-    }
-  }
-  LiveEngine live_engine;
-  std::unique_ptr<LiveRouter> router;
-  if (indexed) {
-    live_engine = BuildLiveEngine(dyn, handles_of_leaf);
-    router = std::make_unique<LiveRouter>(live_engine, num_nodes);
-  }
 
   EpochRecoveryStats epoch;
   epoch.first_event = 0;
@@ -729,84 +676,35 @@ Result<FaultReplayResult> ReplayStaleness(
     // 6. Route over the believed overlay; events die at actually-down
     // brokers and deliveries to offline clients count as stale.
     if (placement_dirty) {
-      handles_of_leaf = HandlesByLeaf(dyn);
-      if (indexed) {
-        live_engine = BuildLiveEngine(dyn, handles_of_leaf);
-        router = std::make_unique<LiveRouter>(live_engine, num_nodes);
-      }
+      matcher.Refresh();
       placement_dirty = false;
     }
     const geo::Point& event = events[i];
     ++result.stats.events;
     ++epoch.num_events;
-    if (indexed) {
-      RouteLiveEventIndexed(dyn, event, live_engine, handles_of_leaf, &truth,
-                            router.get(), &result.stats);
-    } else {
-      RouteLiveEvent(dyn, event, handles_of_leaf, &truth, &result.stats);
-    }
 
     // 7. Ground-truth miss attribution. Order matters: an actually-down
     // broker on the believed path explains the miss (missed_undetected)
     // before any filter reasoning — missed_live stays reserved for true
     // coverage bugs.
-    if (indexed) {
-      router->matched_handles.clear();
-      live_engine.handles.AppendContaining(event[0], event[1],
-                                           &router->matched_handles);
-      for (const int32_t h : router->matched_handles) {
-        const int c = client_of_handle[h];
-        SLP_DCHECK(c >= 0);
-        if (channel.client_offline(c)) continue;  // not listening: no miss
-        const int leaf = dyn.leaf_of(h);
-        if (leaf < 0) {
-          ++result.missed_outage;
-          ++epoch.missed_outage;
-          continue;
-        }
-        if (router->reached.Test(leaf)) continue;
-        if (BelievedPathActuallyDown(dyn, leaf, channel)) {
-          ++result.missed_undetected;
-          ++epoch.missed_undetected;
-          continue;
-        }
-        if (dyn.state(h) == core::SubscriberState::kLive) {
-          ++result.missed_live;
-          ++epoch.missed_live;
-          ++result.stats.missed_deliveries;
-        } else {
-          ++result.missed_degraded;
-          ++epoch.missed_degraded;
-        }
-      }
-      ClearReached(router.get());
-    } else {
-      for (int h = 0; h < dyn.slot_count(); ++h) {
-        if (!dyn.is_occupied(h)) continue;
-        if (!dyn.subscriber(h).subscription.ContainsPoint(event)) continue;
-        const int c = client_of_handle[h];
-        SLP_DCHECK(c >= 0);
-        if (channel.client_offline(c)) continue;  // not listening: no miss
-        const int leaf = dyn.leaf_of(h);
-        if (leaf < 0) {
-          ++result.missed_outage;
-          ++epoch.missed_outage;
-          continue;
-        }
-        if (ReachedOverLivePath(dyn, leaf, event, &truth)) continue;
-        if (BelievedPathActuallyDown(dyn, leaf, channel)) {
-          ++result.missed_undetected;
-          ++epoch.missed_undetected;
-          continue;
-        }
-        if (dyn.state(h) == core::SubscriberState::kLive) {
-          ++result.missed_live;
-          ++epoch.missed_live;
-          ++result.stats.missed_deliveries;
-        } else {
-          ++result.missed_degraded;
-          ++epoch.missed_degraded;
-        }
+    for (const int32_t h : matcher.Route(event, &truth, &result.stats)) {
+      const int c = client_of_handle[h];
+      SLP_DCHECK(c >= 0);
+      if (channel.client_offline(c)) continue;  // not listening: no miss
+      const int leaf = dyn.leaf_of(h);
+      if (leaf < 0) {
+        ++result.missed_outage;
+        ++epoch.missed_outage;
+      } else if (BelievedPathActuallyDown(dyn, leaf, channel)) {
+        ++result.missed_undetected;
+        ++epoch.missed_undetected;
+      } else if (dyn.state(h) == core::SubscriberState::kLive) {
+        ++result.missed_live;
+        ++epoch.missed_live;
+        ++result.stats.missed_deliveries;
+      } else {
+        ++result.missed_degraded;
+        ++epoch.missed_degraded;
       }
     }
     // An online client whose subscription was prematurely expunged misses

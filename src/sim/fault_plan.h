@@ -134,9 +134,10 @@ class FaultPlan {
 
 struct FaultReplayOptions {
   // Which matching engine routes events over the live overlay. kIndexed
-  // rebuilds the live match indexes whenever placement changes (repairs,
-  // fail/recover) — the same trigger that refreshes the handle grouping —
-  // and is bit-identical to kLinear (enforced by tests/match_test).
+  // rebuilds the live broker and handle indexes whenever placement
+  // changes (repairs, fail/recover, expiries, reconnects) — where kLinear
+  // regroups handles by leaf — and is bit-identical to kLinear (enforced
+  // by tests/match_test).
   MatchEngine engine = MatchEngine::kIndexed;
   // Epoch length (in events) for the recovery-metrics time series.
   int epoch_length = 100;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -16,11 +17,13 @@
 #include "src/common/invariant.h"
 #include "src/core/dynamic.h"
 #include "src/core/greedy.h"
+#include "src/liveness/liveness_tracker.h"
 #include "src/match/audit.h"
 #include "src/match/bitset.h"
 #include "src/match/match_index.h"
 #include "src/network/tree_builder.h"
 #include "src/sim/dissemination.h"
+#include "src/sim/churn_scenarios.h"
 #include "src/sim/fault_plan.h"
 #include "tests/test_util.h"
 
@@ -236,6 +239,111 @@ TEST(MatchIndexTest, BuilderMatchesBuildIndex) {
   EXPECT_EQ(index.num_owners(), 3);
   MatchBatch batch(&index);
   EXPECT_EQ(batch.Probe(0.5, 0.5).size(), 3u);  // shared corner of all three
+}
+
+// The grid-resolution rule keeps the CSR at no more than this many
+// entries per rectangle (src/match/match_index.cc).
+constexpr size_t kMaxEntriesPerRect = 16;
+
+// Random probes in and around [0,1]^2, plus the corners and edge midpoints
+// of a stride of rectangles: where a coarsened grid or a cell off-by-one
+// would diverge from the scan.
+void ExpectIndexMatchesScan(const MatchIndex& index,
+                            const std::vector<OwnedRect>& rects, Rng& rng) {
+  for (int t = 0; t < 200; ++t) {
+    ExpectProbeMatchesScan(
+        index, rects, {rng.Uniform(-0.1, 1.1), rng.Uniform(-0.1, 1.1)});
+  }
+  const size_t stride = std::max<size_t>(1, rects.size() / 100);
+  for (size_t k = 0; k < rects.size(); k += stride) {
+    const Rectangle& r = rects[k].rect;
+    for (unsigned mask = 0; mask < 4; ++mask) {
+      ExpectProbeMatchesScan(index, rects, r.Corner(mask));
+    }
+    const Point c = r.Center();
+    ExpectProbeMatchesScan(index, rects, {r.lo(0), c[1]});
+    ExpectProbeMatchesScan(index, rects, {r.hi(0), c[1]});
+    ExpectProbeMatchesScan(index, rects, {c[0], r.lo(1)});
+    ExpectProbeMatchesScan(index, rects, {c[0], r.hi(1)});
+  }
+}
+
+TEST(MatchIndexGridTest, WideRectanglesDoNotBlowUpTheGrid) {
+  // A fifth of the rectangles span at least 40% of the box on both axes,
+  // the rest are tiny. A sqrt(n) grid (143 per axis) would copy each wide
+  // one into thousands of cells.
+  Rng rng(201);
+  std::vector<OwnedRect> rects;
+  for (int k = 0; k < 20000; ++k) {
+    const bool wide = k % 5 == 0;
+    const double wx = wide ? rng.Uniform(0.4, 1) : rng.Uniform(0, 0.005);
+    const double wy = wide ? rng.Uniform(0.4, 1) : rng.Uniform(0, 0.005);
+    const double lx = rng.Uniform(0, 1 - wx), ly = rng.Uniform(0, 1 - wy);
+    rects.push_back({k, Rectangle({lx, ly}, {lx + wx, ly + wy})});
+  }
+  const MatchIndex index = BuildIndex(rects, 20000);
+  EXPECT_GE(index.num_cell_entries(), rects.size());
+  EXPECT_LE(index.num_cell_entries(), kMaxEntriesPerRect * rects.size());
+  ExpectIndexMatchesScan(index, rects, rng);
+}
+
+TEST(MatchIndexGridTest, FullBoxRectanglesReachOneCell) {
+  // Every rectangle covers every cell of any grid: only g = 1 meets the
+  // bound, with exactly one entry per rectangle.
+  Rng rng(202);
+  std::vector<OwnedRect> rects;
+  for (int k = 0; k < 300; ++k) {
+    rects.push_back({k, Rectangle({0, 0}, {1, 1})});
+  }
+  const MatchIndex index = BuildIndex(rects, 300);
+  EXPECT_EQ(index.num_cell_entries(), rects.size());
+  ExpectIndexMatchesScan(index, rects, rng);
+}
+
+TEST(MatchIndexGridTest, ZeroWidthAxis) {
+  // Vertical segments on x = 0.5, short and long: the x axis is flat, so
+  // the grid has one column and only the y axis is cut.
+  Rng rng(203);
+  std::vector<OwnedRect> rects;
+  for (int k = 0; k < 2000; ++k) {
+    const double wy = k % 4 == 0 ? rng.Uniform(0.5, 1) : rng.Uniform(0, 0.01);
+    const double ly = rng.Uniform(0, 1 - wy);
+    rects.push_back({k, Rectangle({0.5, ly}, {0.5, ly + wy})});
+  }
+  const MatchIndex index = BuildIndex(rects, 2000);
+  EXPECT_LE(index.num_cell_entries(), kMaxEntriesPerRect * rects.size());
+  ExpectIndexMatchesScan(index, rects, rng);
+  for (int t = 0; t < 200; ++t) {
+    ExpectProbeMatchesScan(index, rects, {0.5, rng.Uniform(-0.1, 1.1)});
+  }
+}
+
+TEST(MatchIndexGridTest, SingleRectangle) {
+  Rng rng(204);
+  const std::vector<OwnedRect> rects = {{0, Rectangle({0.2, 0.3}, {0.7, 0.4})}};
+  const MatchIndex index = BuildIndex(rects, 1);
+  EXPECT_EQ(index.num_cell_entries(), 1u);
+  ExpectIndexMatchesScan(index, rects, rng);
+}
+
+TEST(MatchIndexTest, NonFiniteProbesMatchNothing) {
+  const std::vector<OwnedRect> rects = {
+      {0, Rectangle({0, 0}, {1, 1})},
+      {1, Rectangle({0.25, 0.25}, {0.5, 0.5})},
+  };
+  const MatchIndex index = BuildIndex(rects, 2);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Point> probes = {{kNan, 0.5},  {0.5, kNan}, {kNan, kNan},
+                                     {kInf, 0.5},  {-kInf, 0.5},
+                                     {0.5, kInf},  {0.5, -kInf}};
+  for (const Point& p : probes) {
+    EXPECT_TRUE(LinearOwners(rects, p).empty());
+    ExpectProbeMatchesScan(index, rects, p);
+    std::vector<int32_t> owners;
+    index.AppendContaining(p[0], p[1], &owners);
+    EXPECT_TRUE(owners.empty());
+  }
 }
 
 TEST(MatchAuditTest, CleanIndexPassesAudit) {
@@ -496,6 +604,145 @@ TEST(FaultReplayDifferentialTest, EnginesBitIdenticalUnderFaults) {
   // The replay is correctness-critical: no live subscriber may miss.
   EXPECT_EQ(idx.missed_live, 0);
   EXPECT_GT(idx.total_orphaned, 0);  // the plan actually failed brokers
+}
+
+// Every counter of two replays of the same plan and events.
+void ExpectReplaysEqual(const sim::FaultReplayResult& a,
+                        const sim::FaultReplayResult& b) {
+  ExpectStatsEqual(a.stats, b.stats);
+  EXPECT_EQ(a.missed_live, b.missed_live);
+  EXPECT_EQ(a.missed_outage, b.missed_outage);
+  EXPECT_EQ(a.missed_degraded, b.missed_degraded);
+  EXPECT_EQ(a.missed_undetected, b.missed_undetected);
+  EXPECT_EQ(a.missed_expired, b.missed_expired);
+  EXPECT_EQ(a.stale_deliveries, b.stale_deliveries);
+  EXPECT_EQ(a.total_orphaned, b.total_orphaned);
+  EXPECT_EQ(a.total_repaired, b.total_repaired);
+  EXPECT_EQ(a.total_degraded_placed, b.total_degraded_placed);
+  EXPECT_EQ(a.total_undegraded, b.total_undegraded);
+  EXPECT_EQ(a.reconnects, b.reconnects);
+  EXPECT_EQ(a.lease_expirations, b.lease_expirations);
+  EXPECT_EQ(a.time_to_repair, b.time_to_repair);
+  EXPECT_EQ(a.qt_final, b.qt_final);
+  ASSERT_EQ(a.epochs.size(), b.epochs.size());
+  for (size_t i = 0; i < a.epochs.size(); ++i) {
+    EXPECT_EQ(a.epochs[i].deliveries, b.epochs[i].deliveries) << i;
+    EXPECT_EQ(a.epochs[i].missed_outage, b.epochs[i].missed_outage) << i;
+    EXPECT_EQ(a.epochs[i].missed_live, b.epochs[i].missed_live) << i;
+    EXPECT_EQ(a.epochs[i].missed_undetected, b.epochs[i].missed_undetected)
+        << i;
+  }
+}
+
+// Replays `plan` over `events` on a fresh populated assigner with each
+// engine; results[0] is linear, results[1] indexed.
+void ReplayBothEngines(const std::vector<Point>& events,
+                       const sim::FaultPlan& plan,
+                       sim::FaultReplayOptions options,
+                       sim::FaultReplayResult results[2]) {
+  for (int e = 0; e < 2; ++e) {
+    core::DynamicAssigner dyn = PopulatedAssigner(400, 24, 41);
+    options.engine = e == 0 ? MatchEngine::kLinear : MatchEngine::kIndexed;
+    Rng rng(44);
+    auto r = sim::ReplayWithFaults(dyn, plan, events, options, rng);
+    ASSERT_TRUE(r.ok()) << r.status().message();
+    results[e] = std::move(r).value();
+  }
+}
+
+TEST(FaultReplayDifferentialTest, StalenessEnginesBitIdentical) {
+  // Broker crashes plus flaky clients under leases: the ground-truth path
+  // of both engines, where deliveries to offline clients turn stale and
+  // events die at brokers the detector still believes alive.
+  constexpr int kEvents = 600;
+  Rng ev_rng(42);
+  std::vector<Point> events;
+  for (int i = 0; i < kEvents; ++i) {
+    events.push_back({ev_rng.Uniform(0, 1), ev_rng.Uniform(0, 1)});
+  }
+  const core::DynamicAssigner probe = PopulatedAssigner(400, 24, 41);
+  Rng plan_rng(43);
+  const sim::FaultPlan churn =
+      sim::FaultPlan::SeededRandom(probe.tree(), kEvents, 0.15, 150, plan_rng);
+  const sim::FaultPlan flaky =
+      sim::FlakyClients(probe.population(), kEvents, 0.2, 40, 2, plan_rng);
+  const sim::FaultPlan plan =
+      sim::FaultPlan::Scripted(churn.events(), flaky.client_events());
+
+  sim::FaultReplayOptions options;
+  options.epoch_length = 100;
+  options.compute_fresh_baseline = false;
+  liveness::LeaseConfig lease;
+  lease.heartbeat_interval = 2;
+  lease.subscriber_interval = 2;
+  lease.subscriber_miss_dead = 2;
+  options.lease = lease;
+  sim::FaultReplayResult results[2];
+  ReplayBothEngines(events, plan, options, results);
+  ExpectReplaysEqual(results[0], results[1]);
+  EXPECT_GT(results[1].stale_deliveries, 0);
+  EXPECT_GT(results[1].missed_undetected, 0);
+  EXPECT_GT(results[1].reconnects, 0);
+  EXPECT_EQ(results[1].missed_live, 0);
+}
+
+TEST(DisseminationDifferentialTest, NonFiniteEventsMatchNothing) {
+  // NaN and ±inf events enter no broker and match no subscription on
+  // either engine: the stats equal those of the finite events alone.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Point> non_finite = {{kNan, 0.5}, {0.5, kNan},
+                                         {kNan, kNan}, {kInf, 0.5},
+                                         {0.5, -kInf}, {-kInf, kInf}};
+  core::SaProblem p = test::SmallGridProblem(300, 6);
+  Rng rng(51);
+  const core::SaSolution s = core::RunGrStar(p, rng);
+  std::vector<Point> finite;
+  Rng ev_rng(52);
+  for (int i = 0; i < 300; ++i) {
+    finite.push_back({ev_rng.Uniform(0, 1), ev_rng.Uniform(0, 1)});
+  }
+  std::vector<Point> mixed;
+  for (size_t i = 0; i < finite.size(); ++i) {
+    mixed.push_back(finite[i]);
+    if (i % 50 == 0) {
+      mixed.insert(mixed.end(), non_finite.begin(), non_finite.end());
+    }
+  }
+
+  const DisseminationStats clean =
+      Simulate(p, s, finite, {MatchEngine::kLinear, 1});
+  for (const MatchEngine engine :
+       {MatchEngine::kLinear, MatchEngine::kIndexed}) {
+    for (const int shards : {1, 3}) {
+      const DisseminationStats got = Simulate(p, s, mixed, {engine, shards});
+      SCOPED_TRACE(shards);
+      EXPECT_EQ(got.events, static_cast<int>(mixed.size()));
+      EXPECT_EQ(got.broker_hits, clean.broker_hits);
+      EXPECT_EQ(got.total_messages, clean.total_messages);
+      EXPECT_EQ(got.deliveries, clean.deliveries);
+      EXPECT_EQ(got.wasted_leaf_hits, clean.wasted_leaf_hits);
+      EXPECT_EQ(got.missed_deliveries, 0);
+    }
+  }
+
+  // The fault replay, crash-stop and staleness mode: the engines agree on
+  // the mixed stream.
+  Rng plan_rng(53);
+  const core::DynamicAssigner probe = PopulatedAssigner(400, 24, 41);
+  const sim::FaultPlan plan = sim::FaultPlan::SeededRandom(
+      probe.tree(), static_cast<int>(mixed.size()), 0.15, 100, plan_rng);
+  sim::FaultReplayOptions options;
+  options.compute_fresh_baseline = false;
+  for (const bool staleness : {false, true}) {
+    if (staleness) options.lease = liveness::LeaseConfig{};
+    sim::FaultReplayResult mixed_runs[2];
+    ReplayBothEngines(mixed, plan, options, mixed_runs);
+    SCOPED_TRACE(staleness ? "staleness" : "crash-stop");
+    ExpectReplaysEqual(mixed_runs[0], mixed_runs[1]);
+    EXPECT_EQ(mixed_runs[1].missed_live, 0);
+    EXPECT_GT(mixed_runs[1].stats.deliveries, 0);
+  }
 }
 
 }  // namespace
